@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint verify fmt fmt-check bench bench-space bench-query bench-fleet bench-store fleet-smoke fleet-chaos clean
+.PHONY: all build test race vet lint verify fmt fmt-check bench bench-cpus bench-space bench-query bench-fleet bench-store fleet-smoke fleet-chaos clean
 
 all: verify
 
@@ -46,12 +46,24 @@ fmt-check:
 bench: bench-space bench-query
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# bench-space runs the feature-space construction scaling benchmark
-# (-cpu rows are the parallel speedup curve) and records the results as
-# BENCH_space.json via cmd/benchjson.
+# BENCH_CPUS is the -cpu list of the scaling benchmarks: powers of two
+# below the core count, then the core count itself. Rows past nproc
+# would measure oversubscription, not scaling.
+BENCH_CPUS ?= $(shell n=$$(nproc 2>/dev/null || echo 1); l=1; c=2; \
+	while [ $$c -lt $$n ]; do l=$$l,$$c; c=$$((c*2)); done; \
+	if [ $$n -gt 1 ]; then l=$$l,$$n; fi; echo $$l)
+
+bench-cpus:
+	@echo $(BENCH_CPUS)
+
+# bench-space runs the feature-space construction benchmarks — the
+# similarity join on the largest synth profile (-cpu rows are the
+# parallel speedup curve) and core.New on dbpedia-nytimes with its 9
+# partitions — and records the results as BENCH_space.json via
+# cmd/benchjson.
 bench-space:
-	$(GO) test -run '^$$' -bench '^BenchmarkSpaceBuild$$' -benchmem \
-		-cpu=1,2,4,8 ./internal/feature | \
+	$(GO) test -run '^$$' -bench '^(BenchmarkSpaceBuild|BenchmarkCoreNew)$$' -benchmem \
+		-cpu=$(BENCH_CPUS) ./internal/feature ./internal/core | \
 		$(GO) run ./cmd/benchjson -out BENCH_space.json
 
 # bench-query runs the federated query read-path benchmarks: the
@@ -61,7 +73,7 @@ bench-space:
 # (with delta_vs_prev against the previous run's file).
 bench-query:
 	$(GO) test -run '^$$' -bench '^(BenchmarkFederatedQuery|BenchmarkAdaptiveQuery)$$' -benchmem \
-		-cpu=1,2,4,8 ./internal/federation | \
+		-cpu=$(BENCH_CPUS) ./internal/federation | \
 		$(GO) run ./cmd/benchjson -out BENCH_query.json
 
 # bench-store runs the segment-store lifecycle benchmark at the

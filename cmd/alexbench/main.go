@@ -60,7 +60,6 @@ func main() {
 	queryWorkers := flag.Int("query-workers", 0, "per-query federation parallelism (0 = GOMAXPROCS)")
 	adaptive := flag.Bool("adaptive", false, "adaptive query execution: re-rank remaining join patterns from observed cardinalities (shorthand for -replan-every 1)")
 	replanEvery := flag.Int("replan-every", 0, "re-rank remaining patterns every N executed stages (0 = static plans)")
-	blocking := flag.Bool("block", false, "enable candidate blocking during space construction")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (off when empty)")
 	storeBackend := flag.String("store", "mem", "triple store backend: mem (in-memory graphs) or disk (temporary mmap'd segment store)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
@@ -85,7 +84,6 @@ func main() {
 	}
 	opts := experiments.Options{Scale: *scale, Seed: *seed, Store: *storeBackend, Mutate: func(c *core.Config) {
 		c.SpaceWorkers = *spaceWorkers
-		c.SpaceBlocking = *blocking
 		c.QueryWorkers = *queryWorkers
 		c.QueryReplanEvery = *replanEvery
 		if c.QueryReplanEvery == 0 && *adaptive {

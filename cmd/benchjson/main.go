@@ -109,7 +109,7 @@ func annotateDeltas(rows []Row, path string) {
 
 // parseLine recognizes a result line such as
 //
-//	BenchmarkSpaceBuild/unblocked-8  2  512345678 ns/op  801234 pairs/s  96 B/op  3 allocs/op
+//	BenchmarkSpaceBuild-8  2  512345678 ns/op  801234 pairs/s  96 B/op  3 allocs/op
 //
 // and returns false for everything else (headers, PASS, ok, …).
 func parseLine(line string) (Row, bool) {

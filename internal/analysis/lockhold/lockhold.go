@@ -130,7 +130,7 @@ func scanRegion(pass *analysis.Pass, region []ast.Stmt, lockStr, unlockName stri
 		}
 		// Channel operations that a select statement makes non-blocking
 		// (any comm clause of a select WITH default).
-		nonBlocking := map[ast.Node]bool{}
+		nonblocking := map[ast.Node]bool{}
 
 		ast.Inspect(stmt, func(n ast.Node) bool {
 			if stopped || n == nil {
@@ -153,18 +153,18 @@ func scanRegion(pass *analysis.Pass, region []ast.Stmt, lockStr, unlockName stri
 				// diagnostic already covers them.
 				for _, c := range n.Body.List {
 					if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-						markCommOps(cc.Comm, nonBlocking)
+						markCommOps(cc.Comm, nonblocking)
 					}
 				}
 				if !hasDefault {
 					pass.Reportf(n.Pos(), "blocking select while holding %s; a stalled channel peer stalls every goroutine waiting on the lock", lockStr)
 				}
 			case *ast.SendStmt:
-				if !nonBlocking[n] {
+				if !nonblocking[n] {
 					pass.Reportf(n.Pos(), "channel send while holding %s may block; release the lock before communicating", lockStr)
 				}
 			case *ast.UnaryExpr:
-				if n.Op == token.ARROW && !nonBlocking[n] {
+				if n.Op == token.ARROW && !nonblocking[n] {
 					pass.Reportf(n.Pos(), "channel receive while holding %s may block; release the lock before communicating", lockStr)
 				}
 			case *ast.RangeStmt:

@@ -41,7 +41,6 @@ type ConfigWire struct {
 	Seed              int64
 	UniformPolicy     bool
 	SpaceWorkers      int
-	SpaceBlocking     bool
 }
 
 // FromConfig converts a core.Config for the wire.
@@ -52,7 +51,7 @@ func FromConfig(c core.Config) ConfigWire {
 		BlacklistMargin: c.BlacklistMargin, UseRollback: c.UseRollback,
 		RollbackThreshold: c.RollbackThreshold, PositiveReward: c.PositiveReward,
 		NegativePenalty: c.NegativePenalty, Seed: c.Seed, UniformPolicy: c.UniformPolicy,
-		SpaceWorkers: c.SpaceWorkers, SpaceBlocking: c.SpaceBlocking,
+		SpaceWorkers: c.SpaceWorkers,
 	}
 }
 
@@ -71,7 +70,6 @@ func (w ConfigWire) toConfig() core.Config {
 	c.Seed = w.Seed
 	c.UniformPolicy = w.UniformPolicy
 	c.SpaceWorkers = w.SpaceWorkers
-	c.SpaceBlocking = w.SpaceBlocking
 	c.Partitions = 1  // a worker is exactly one partition
 	c.EpisodeSize = 1 // episodes are driven item-by-item by the coordinator
 	return c

@@ -75,12 +75,6 @@ type Config struct {
 	// partition's feature space (0 = runtime.GOMAXPROCS(0)). The
 	// constructed spaces are identical for every worker count.
 	SpaceWorkers int
-	// SpaceBlocking enables candidate blocking during space
-	// construction: an inverted index over dataset-2 attribute values
-	// prunes entity pairs that provably cannot reach Theta on any
-	// feature. The resulting space is identical to the unblocked one;
-	// only build time changes. Ignored when Sim is set or Theta <= 0.
-	SpaceBlocking bool
 	// QueryWorkers is the per-query parallelism of the federated read
 	// path (0 = runtime.GOMAXPROCS(0)). It tunes speed only: answers,
 	// provenance and degradation markers are identical for every worker

@@ -73,24 +73,14 @@ func New(g1, g2 store.TripleStore, entities1, entities2 []rdf.ID, initial []link
 		}
 	}
 
-	// Build partition spaces. Build parallelizes internally across
-	// SpaceWorkers goroutines, so the partitions are constructed one
-	// after another against a single shared signature table instead of
-	// each recomputing its own (which the pre-signature-table code did
-	// by building partitions concurrently).
-	spaces := make([]*feature.Space, len(partEnts))
-	fopts := feature.Options{
-		Theta:    cfg.Theta,
-		Sim:      cfg.Sim,
-		Workers:  cfg.SpaceWorkers,
-		Blocking: cfg.SpaceBlocking,
-	}
-	if cfg.Sim == nil {
-		fopts.Sigs = feature.NewSigTable(g1.Dict())
-	}
-	for pi := range partEnts {
-		spaces[pi] = feature.Build(g1, g2, partEnts[pi], entities2, fopts)
-	}
+	// Build partition spaces. One similarity join over the distinct
+	// attribute values serves every partition; each partition's space
+	// is then assembled in parallel across SpaceWorkers goroutines.
+	spaces := feature.BuildPartitions(g1, g2, partEnts, entities2, feature.Options{
+		Theta:   cfg.Theta,
+		Sim:     cfg.Sim,
+		Workers: cfg.SpaceWorkers,
+	})
 
 	s.parts = make([]*partition, len(partEnts))
 	for pi := range partEnts {

@@ -2,26 +2,29 @@ package feature
 
 import (
 	"math"
-	"sort"
 
 	"alex/internal/rdf"
 )
 
-// Candidate blocking (Options.Blocking): an inverted index from
-// blocking keys of dataset-2 attribute values to the entities carrying
-// them. A dataset-1 entity then only visits dataset-2 entities with
-// which it shares at least one blocking key, instead of the full
-// |E1|×|E2| cross product.
+// Object-level blocking for the similarity join (Build): an inverted
+// index from blocking keys of the distinct dataset-2 attribute values
+// to those values. A distinct dataset-1 value is scored only against
+// the values it shares a key with, instead of against every one.
 //
 // Correctness rests on a θ-unreachability argument against the built-in
-// similarity (SigTable.sim): for θ > 0 a pair can only enter the space
-// if some attribute pair scores ≥ θ, and every way to score ≥ θ implies
-// a shared blocking key:
+// similarity (SigTable.sim): for θ > 0 a value pair is kept only if it
+// scores ≥ θ, and every way to score ≥ θ implies a shared key:
 //
-//   - identical object IDs score 1 → identity key (one per ID);
-//   - dates score ≥ θ only if |Δ| ≤ 365(1−θ) days → buckets of that
-//     width differ by at most one, and the probe visits b−1, b, b+1;
-//   - numbers score ≥ θ only if |Δ| ≤ 10(1−θ) → same construction;
+//   - identical object IDs score 1 → found directly through the dense
+//     object numbering of the join, without a key;
+//   - dates score ≥ θ only if |Δ| ≤ 365(1−θ) days → values are bucketed
+//     by a width w at least that large, and a probe for v visits every
+//     bucket from that of v−w to that of v+w (bucketOf is monotone, and
+//     rounding v±w to a float cannot cross a representable value);
+//   - numbers score ≥ θ only if |Δ| ≤ 10(1−θ) → same construction. A
+//     NaN or infinite number scores NaN against some numbers, which the
+//     θ-filter keeps, so such values are indexed under a wildcard key
+//     every number probe visits, and probe every value themselves;
 //   - strings/IRIs score ≥ θ only if trigram Jaccard ≥ θ, token
 //     Jaccard ≥ θ, or the normal forms are equal and non-empty (which
 //     implies trigram Jaccard = 1). For Jaccard ≥ θ the prefix
@@ -31,36 +34,39 @@ import (
 //     |X|−α+1 ≤ |X|−⌈θ|X|⌉+1 elements of any shared total order. So
 //     indexing and probing only the sorted hash prefix of length
 //     |X|−⌈θ|X|⌉+1 never drops a qualifying pair, while keeping the
-//     long tails of common values out of the posting lists.
+//     long tails of common values out of the posting lists. A string
+//     and an IRI always score 0, so their keys carry different tags.
 //
 // Key collisions (hash collisions, bucket aliasing after clamping) only
-// ever admit extra candidates, which the ordinary θ-filter then scores
-// and discards — they can never drop a pair. The blocked space is
-// therefore identical to the unblocked one; the exhaustive equivalence
-// test over every synth profile (parallel_test.go) checks exactly that.
+// ever admit extra candidates, which the θ-filter then scores and
+// discards — they can never drop a pair. The join is therefore exact;
+// the oracle tests (join_test.go) check it against scoring the full
+// cross product.
 const (
 	blockKeyMask uint64 = 1<<60 - 1
 	blockTagText uint64 = 1 << 60
 	blockTagNum  uint64 = 2 << 60
 	blockTagDate uint64 = 3 << 60
-	blockTagID   uint64 = 4 << 60
+	blockTagIRI  uint64 = 4 << 60
+	blockKeyWild uint64 = 5 << 60 // non-finite numbers
 )
 
-// blockWidth returns the bucket width within which a proximity score
-// over a window of size w can still reach θ: |Δ| ≤ w(1−θ). The floor
-// keeps the width positive for θ ≥ 1 (only exact value matches qualify
-// then, which land in the same bucket regardless of width).
+// blockWidth returns a bucket width within which a proximity score over
+// a window of size w can still reach θ: |Δ| ≤ w(1−θ). The relative
+// margin absorbs the rounding of the score computation (a wider bucket
+// only admits extra candidates); the floor keeps the width positive for
+// θ ≥ 1, where only exact value matches qualify.
 func blockWidth(w, theta float64) float64 {
 	f := 1 - theta
 	if f < 0.01 {
 		f = 0.01
 	}
-	return w * f
+	return w * f * (1 + 1e-9)
 }
 
 // bucketOf returns the blocking bucket of a numeric/date magnitude.
 // Clamping keeps the float→int conversion defined; it is monotone, so
-// "buckets differ by at most one" survives it.
+// the probe range of a value still covers every qualifying bucket.
 func bucketOf(num, width float64) int64 {
 	b := math.Floor(num / width)
 	if b > 1e15 {
@@ -72,16 +78,16 @@ func bucketOf(num, width float64) int64 {
 	return int64(b)
 }
 
-func numKey(bucket int64) uint64  { return blockTagNum | (uint64(bucket) & blockKeyMask) }
-func dateKey(bucket int64) uint64 { return blockTagDate | (uint64(bucket) & blockKeyMask) }
-
 // prefixLen returns the length of the sorted-set prefix that must be
 // indexed/probed for Jaccard ≥ theta: n − ⌈θn⌉ + 1, clamped to [0, n].
+// The required overlap ⌈θn⌉ is taken with a small downward tolerance,
+// so a product θn rounded just above an integer lengthens the prefix
+// instead of shortening it.
 func prefixLen(n int, theta float64) int {
 	if n == 0 {
 		return 0
 	}
-	p := n - int(math.Ceil(theta*float64(n))) + 1
+	p := n - int(math.Ceil(theta*float64(n)-1e-9)) + 1
 	if p < 0 {
 		return 0
 	}
@@ -91,126 +97,112 @@ func prefixLen(n int, theta float64) int {
 	return p
 }
 
-// blockIndex is the read-only inverted index over dataset-2 attribute
-// values, shared by all workers of one Build.
-type blockIndex struct {
+// objectIndex is the read-only inverted index over the distinct
+// dataset-2 values of one join, shared by all of its workers.
+type objectIndex struct {
 	sigs     *SigTable
 	theta    float64
 	numWidth float64
 	dayWidth float64
-	n        int
-	post     map[uint64][]int32 // blocking key → ascending entities2 indices
+	n        int                // number of dataset-2 values
+	post     map[uint64][]int32 // blocking key → ascending value numbers
 }
 
-func newBlockIndex(sigs *SigTable, theta float64, attrs2 [][]rdf.Attribute) *blockIndex {
-	b := &blockIndex{
+func newObjectIndex(sigs *SigTable, theta float64, objs2 []rdf.ID) *objectIndex {
+	x := &objectIndex{
 		sigs:     sigs,
 		theta:    theta,
 		numWidth: blockWidth(10, theta),
 		dayWidth: blockWidth(365, theta),
-		n:        len(attrs2),
+		n:        len(objs2),
 		post:     make(map[uint64][]int32),
 	}
 	var keys []uint64
-	for i2, attrs := range attrs2 {
-		keys = keys[:0]
-		for _, a := range attrs {
-			keys = b.appendValueKeys(keys, a.Obj)
-		}
-		keys = dedupSortedUint64(keys)
+	for n, o := range objs2 {
+		keys, _ = x.appendKeys(keys[:0], o, false)
 		for _, k := range keys {
-			b.post[k] = append(b.post[k], int32(i2))
+			// A value's keys can repeat (a token hash equal to a
+			// trigram hash); postings stay duplicate-free.
+			if ps := x.post[k]; len(ps) == 0 || ps[len(ps)-1] != int32(n) {
+				x.post[k] = append(ps, int32(n))
+			}
 		}
 	}
-	return b
+	return x
 }
 
-// appendValueKeys emits the blocking keys under which one attribute
-// value is indexed.
-func (b *blockIndex) appendValueKeys(keys []uint64, o rdf.ID) []uint64 {
-	keys = append(keys, blockTagID|(uint64(o)&blockKeyMask))
-	s := b.sigs.sig(o)
+// appendKeys appends the blocking keys of value o: the keys it is
+// indexed under, or with probe set the keys it must look up. all
+// reports a probe that must visit every value instead.
+func (x *objectIndex) appendKeys(keys []uint64, o rdf.ID, probe bool) (_ []uint64, all bool) {
+	s := x.sigs.sig(o)
 	switch s.kind {
-	case sigNumber:
-		keys = append(keys, numKey(bucketOf(s.num, b.numWidth)))
-	case sigDate:
-		keys = append(keys, dateKey(bucketOf(s.num, b.dayWidth)))
-	default: // strings and IRIs
-		for _, h := range s.tri[:prefixLen(len(s.tri), b.theta)] {
-			keys = append(keys, blockTagText|uint64(h))
+	case sigNumber, sigDate:
+		tag, w := blockTagNum, x.numWidth
+		if s.kind == sigDate {
+			tag, w = blockTagDate, x.dayWidth
 		}
-		for _, h := range s.tok[:prefixLen(len(s.tok), b.theta)] {
-			keys = append(keys, blockTagText|uint64(h))
+		if math.IsNaN(s.num) || math.IsInf(s.num, 0) {
+			return append(keys, blockKeyWild), probe
 		}
-	}
-	return keys
-}
-
-func dedupSortedUint64(xs []uint64) []uint64 {
-	if len(xs) == 0 {
-		return xs
-	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
+		lo, hi := bucketOf(s.num, w), bucketOf(s.num, w)
+		if probe {
+			lo, hi = bucketOf(s.num-w, w), bucketOf(s.num+w, w)
+			if s.kind == sigNumber {
+				keys = append(keys, blockKeyWild)
+			}
 		}
+		for b := lo; b <= hi; b++ {
+			keys = append(keys, tag|(uint64(b)&blockKeyMask))
+		}
+		return keys, false
 	}
-	return out
+	tag := blockTagText
+	if s.kind == sigIRI {
+		tag = blockTagIRI
+	}
+	for _, h := range s.tri[:prefixLen(len(s.tri), x.theta)] {
+		keys = append(keys, tag|uint64(h))
+	}
+	for _, h := range s.tok[:prefixLen(len(s.tok), x.theta)] {
+		keys = append(keys, tag|uint64(h))
+	}
+	return keys, false
 }
 
-// blockProbe is one worker's scratch space for candidate lookups; the
-// underlying index is shared and read-only.
-type blockProbe struct {
-	idx  *blockIndex
-	seen []bool
-	out  []int32
+// probe is one worker's scratch space for candidate lookups; the index
+// itself is shared and read-only.
+type probe struct {
+	seen  []int32 // value number → stamp of the last lookup returning it
+	stamp int32
+	keys  []uint64
+	out   []int32
 }
 
-func (b *blockIndex) newProbe() *blockProbe {
-	return &blockProbe{idx: b, seen: make([]bool, b.n)}
-}
+func (x *objectIndex) newProbe() *probe { return &probe{seen: make([]int32, x.n)} }
 
-// candidates returns the ascending entities2 indices that share at
-// least one blocking key with the attribute values of a1.
-func (p *blockProbe) candidates(a1 []rdf.Attribute) []int32 {
+// candidates returns the numbers of the dataset-2 values that may score
+// ≥ θ against o, each once: self, the number of o's identical value
+// (−1 if none), and every value sharing a blocking key with o. ok is
+// false when o must be scored against every value instead.
+func (x *objectIndex) candidates(p *probe, o rdf.ID, self int32) (_ []int32, ok bool) {
+	var all bool
+	if p.keys, all = x.appendKeys(p.keys[:0], o, true); all {
+		return nil, false
+	}
+	p.stamp++
 	p.out = p.out[:0]
-	add := func(k uint64) {
-		for _, i2 := range p.idx.post[k] {
-			if !p.seen[i2] {
-				p.seen[i2] = true
-				p.out = append(p.out, i2)
+	if self >= 0 {
+		p.seen[self] = p.stamp
+		p.out = append(p.out, self)
+	}
+	for _, k := range p.keys {
+		for _, c := range x.post[k] {
+			if p.seen[c] != p.stamp {
+				p.seen[c] = p.stamp
+				p.out = append(p.out, c)
 			}
 		}
 	}
-	for _, a := range a1 {
-		o := a.Obj
-		add(blockTagID | (uint64(o) & blockKeyMask))
-		s := p.idx.sigs.sig(o)
-		switch s.kind {
-		case sigNumber:
-			bk := bucketOf(s.num, p.idx.numWidth)
-			add(numKey(bk - 1))
-			add(numKey(bk))
-			add(numKey(bk + 1))
-		case sigDate:
-			bk := bucketOf(s.num, p.idx.dayWidth)
-			add(dateKey(bk - 1))
-			add(dateKey(bk))
-			add(dateKey(bk + 1))
-		default:
-			for _, h := range s.tri[:prefixLen(len(s.tri), p.idx.theta)] {
-				add(blockTagText | uint64(h))
-			}
-			for _, h := range s.tok[:prefixLen(len(s.tok), p.idx.theta)] {
-				add(blockTagText | uint64(h))
-			}
-		}
-	}
-	sort.Slice(p.out, func(i, j int) bool { return p.out[i] < p.out[j] })
-	for _, i2 := range p.out {
-		p.seen[i2] = false
-	}
-	return p.out
+	return p.out, true
 }

@@ -18,11 +18,9 @@ import (
 // string processing, with no map lookups in the inner loop.
 //
 // A SigTable is read-only after construction and therefore safe to
-// share between the worker goroutines of one Build and across the
-// Builds of several partitions, as long as they all use the dictionary
-// the table was built from. Terms interned after construction are not
-// covered; Build panics (index out of range) rather than silently
-// degrading.
+// share between the worker goroutines of one build. Terms interned
+// after construction are not covered; a lookup panics (index out of
+// range) rather than silently degrading.
 type SigTable struct {
 	sigs []termSig
 }

@@ -10,15 +10,19 @@
 // "all links whose feature (p1, p2) has a score within [lo, hi]", served
 // by a per-feature sorted index in O(log n + answers).
 //
-// Construction is parallel (Options.Workers) over a shared, read-only
-// signature table (SigTable), with optional candidate blocking
-// (Options.Blocking) that prunes entity pairs unable to reach θ on any
-// feature. Both are transparent: the constructed space is identical to
-// a serial, unblocked build. See DESIGN.md "Space construction".
+// Construction is an exact similarity join over distinct attribute
+// values: every distinct (dataset-1 value, dataset-2 value) pair that
+// can reach θ is scored once against a shared, read-only signature
+// table (SigTable), and entity pairs are assembled from those hits in
+// parallel (Options.Workers). The constructed space is identical to
+// scoring every attribute pair of every entity pair. See DESIGN.md
+// "Space construction".
 package feature
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
 
 	"alex/internal/links"
@@ -75,28 +79,14 @@ type Options struct {
 	// Sim compares two attribute values. When nil, the precomputed
 	// signature table (SigTable) implementation of similarity.SpaceSim
 	// is used, which is substantially faster for large cross products.
-	// A non-nil Sim must be safe for concurrent calls when Workers > 1;
-	// results are cached per worker.
+	// A non-nil Sim must be safe for concurrent calls when Workers > 1.
+	// It is called once per distinct value pair.
 	Sim func(a, b rdf.Term) float64
 	// Workers is the number of goroutines Build uses (0 or negative =
 	// runtime.GOMAXPROCS(0)). The constructed space is byte-identical
 	// for every worker count: shard results are merged with a total
 	// (score, link) order, so scheduling cannot leak into the output.
 	Workers int
-	// Blocking enables candidate blocking: an inverted index over
-	// dataset-2 attribute values (token/trigram hashes, numeric and
-	// date buckets) restricts each dataset-1 entity to candidates that
-	// could reach Theta on at least one feature. The constructed space
-	// is provably identical to the unblocked one (see DESIGN.md for the
-	// θ-unreachability argument); only build time changes. Blocking
-	// requires the built-in similarity (Sim nil) and Theta > 0, and is
-	// ignored otherwise.
-	Blocking bool
-	// Sigs optionally supplies a precomputed signature table covering
-	// the shared dictionary, letting several Builds (e.g. one per
-	// partition) reuse one table. When nil, Build computes its own.
-	// Ignored when Sim is non-nil.
-	Sigs *SigTable
 }
 
 func (o *Options) fill() {
@@ -115,18 +105,19 @@ type scoredPair struct {
 
 // sortPairs orders index entries by score with the link as tie-breaker.
 // The comparison is a total order over the entries of one feature key (a
-// link occurs at most once per key), so the result is independent of
-// input order — map iteration and parallel merge order cannot leak into
-// the index, and FindInRange answers are stable run to run.
+// link occurs at most once per key; cmp.Compare puts NaN scores first),
+// so the result is independent of input order — map iteration and
+// parallel merge order cannot leak into the index, and FindInRange
+// answers are stable run to run.
 func sortPairs(ps []scoredPair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].score != ps[j].score {
-			return ps[i].score < ps[j].score
+	slices.SortFunc(ps, func(a, b scoredPair) int {
+		if c := cmp.Compare(a.score, b.score); c != 0 {
+			return c
 		}
-		if ps[i].link.E1 != ps[j].link.E1 {
-			return ps[i].link.E1 < ps[j].link.E1
+		if c := cmp.Compare(a.link.E1, b.link.E1); c != 0 {
+			return c
 		}
-		return ps[i].link.E2 < ps[j].link.E2
+		return cmp.Compare(a.link.E2, b.link.E2)
 	})
 }
 
@@ -137,53 +128,6 @@ type Space struct {
 	index map[Key][]scoredPair // sorted ascending by (score, link)
 	// TotalPairs is the unfiltered size |E1|×|E2| (Figure 5a).
 	TotalPairs int
-}
-
-// buildSet computes the similarity matrix between the two attribute
-// lists, discards entries below θ, and reduces to the state feature set
-// by keeping the maximum per row if the first entity has more attributes
-// than the second, otherwise the maximum per column (§4.1).
-func buildSet(a1, a2 []rdf.Attribute, theta float64, sim func(o1, o2 rdf.ID) float64) Set {
-	type cell struct {
-		key   Key
-		score float64
-	}
-	var cells []cell
-	for _, x := range a1 {
-		for _, y := range a2 {
-			s := sim(x.Obj, y.Obj)
-			if s < theta {
-				continue
-			}
-			cells = append(cells, cell{key: Key{P1: x.Pred, P2: y.Pred}, score: s})
-		}
-	}
-	if len(cells) == 0 {
-		return nil
-	}
-	// Row = dataset-1 predicate, column = dataset-2 predicate.
-	groupByRow := len(a1) > len(a2)
-	best := make(map[rdf.ID]cell)
-	for _, c := range cells {
-		g := c.key.P1
-		if !groupByRow {
-			g = c.key.P2
-		}
-		if cur, ok := best[g]; !ok || c.score > cur.score {
-			best[g] = c
-		}
-	}
-	set := make(Set, 0, len(best))
-	for _, c := range best {
-		set = append(set, Feature{Key: c.key, Score: c.score})
-	}
-	sort.Slice(set, func(i, j int) bool {
-		if set[i].Key.P1 != set[j].Key.P1 {
-			return set[i].Key.P1 < set[j].Key.P1
-		}
-		return set[i].Key.P2 < set[j].Key.P2
-	})
-	return set
 }
 
 // FeatureSet returns the feature set of a link in the space (nil if the

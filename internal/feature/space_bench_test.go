@@ -7,12 +7,11 @@ import (
 )
 
 // BenchmarkSpaceBuild measures feature-space construction on the
-// largest synth profile (dbpedia-opencyc). Run with -cpu=1,2,4,8 for
-// scaling rows — Options.Workers follows GOMAXPROCS, so each -cpu value
-// is one point on the speedup curve (make bench-space writes the rows
-// to BENCH_space.json). The signature table is precomputed outside the
-// timed loop, as core.New shares one table across all partition builds;
-// the benchmark times the cross-product scoring itself.
+// largest synth profile (dbpedia-opencyc). Options.Workers follows
+// GOMAXPROCS, so each -cpu value up to the core count is one point on
+// the speedup curve (make bench-space writes the rows to
+// BENCH_space.json). Each build includes its signature table, as every
+// core.New does.
 func BenchmarkSpaceBuild(b *testing.B) {
 	scale := 0.25
 	if testing.Short() {
@@ -20,23 +19,13 @@ func BenchmarkSpaceBuild(b *testing.B) {
 	}
 	prof, _ := synth.ProfileByName("dbpedia-opencyc")
 	ds := synth.Generate(prof.Scale(scale))
-	sigs := NewSigTable(ds.Dict)
-	for _, bc := range []struct {
-		name    string
-		blocked bool
-	}{
-		{"unblocked", false},
-		{"blocked", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			opts := Options{Theta: DefaultTheta, Sigs: sigs, Blocking: bc.blocked}
-			b.ReportAllocs()
-			var total int
-			for i := 0; i < b.N; i++ {
-				sp := Build(ds.G1, ds.G2, ds.Entities1, ds.Entities2, opts)
-				total = sp.TotalPairs
-			}
-			b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
-		})
+	opts := Options{Theta: DefaultTheta}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var total int
+	for i := 0; i < b.N; i++ {
+		sp := Build(ds.G1, ds.G2, ds.Entities1, ds.Entities2, opts)
+		total = sp.TotalPairs
 	}
+	b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
 }

@@ -723,13 +723,23 @@ func (s *Server) checkpoint() {
 // checkpoints.
 func (s *Server) writer() {
 	defer close(s.done)
-	flush := time.NewTicker(s.cfg.FlushInterval)
+	// flush is an idle timer: re-armed after every applied item, it
+	// fires only once the writer has seen no feedback for FlushInterval,
+	// so a steady stream is cut into episodes by EpisodeSize alone.
+	flush := time.NewTimer(s.cfg.FlushInterval)
 	defer flush.Stop()
 
 	for {
 		select {
 		case it := <-s.queue:
 			s.applyItem(it)
+			if !flush.Stop() {
+				select {
+				case <-flush.C:
+				default:
+				}
+			}
+			flush.Reset(s.cfg.FlushInterval)
 		case <-flush.C:
 			s.finishEpisode()
 		case <-s.repub:

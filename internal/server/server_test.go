@@ -169,24 +169,24 @@ func TestHealthzAndNTriples(t *testing.T) {
 	}
 }
 
-// blockingEngine wraps a real system but parks every Feedback call
+// parkedEngine wraps a real system but parks every Feedback call
 // until released, simulating a slow episode held open by the writer.
-type blockingEngine struct {
+type parkedEngine struct {
 	*core.System
 	entered chan struct{}
 	release chan struct{}
 	applied int
 }
 
-func newBlockingEngine(sys *core.System) *blockingEngine {
-	return &blockingEngine{
+func newParkedEngine(sys *core.System) *parkedEngine {
+	return &parkedEngine{
 		System:  sys,
 		entered: make(chan struct{}, 1024),
 		release: make(chan struct{}),
 	}
 }
 
-func (b *blockingEngine) Feedback(l links.Link, positive bool) {
+func (b *parkedEngine) Feedback(l links.Link, positive bool) {
 	b.entered <- struct{}{}
 	<-b.release
 	b.applied++
@@ -198,7 +198,7 @@ func (b *blockingEngine) Feedback(l links.Link, positive bool) {
 // path takes no lock shared with feedback processing.
 func TestReadersNeverBlockOnWriter(t *testing.T) {
 	dict, sources, sys, _ := tinyWorld(t)
-	eng := newBlockingEngine(sys)
+	eng := newParkedEngine(sys)
 	_, _, client := newTestServer(t, eng, dict, sources, Config{DrainTimeout: time.Second})
 
 	if err := client.Feedback([]LinkJSON{{E1: "http://ds1/a1", E2: "http://ds2/b1"}}, true); err != nil {
@@ -233,7 +233,7 @@ func TestReadersNeverBlockOnWriter(t *testing.T) {
 // never a dropped-and-acknowledged feedback.
 func TestBackpressure429(t *testing.T) {
 	dict, sources, sys, _ := tinyWorld(t)
-	eng := newBlockingEngine(sys)
+	eng := newParkedEngine(sys)
 	s, ts, client := newTestServer(t, eng, dict, sources, Config{QueueSize: 1, DrainTimeout: 5 * time.Second})
 
 	good := []LinkJSON{{E1: "http://ds1/a1", E2: "http://ds2/b1"}}
@@ -292,6 +292,38 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	if snap.Links.Len() != 1 {
 		t.Fatalf("drained feedback not applied: %d links", snap.Links.Len())
+	}
+}
+
+// TestFlushIsIdleTimer pins FlushInterval as writer idle time: feedback
+// arriving faster than the interval never closes a partial episode, and
+// one idle gap closes exactly one.
+func TestFlushIsIdleTimer(t *testing.T) {
+	dict, sources, sys, _ := tinyWorld(t)
+	const flush = 500 * time.Millisecond
+	s, _, client := newTestServer(t, sys, dict, sources, Config{
+		EpisodeSize:   1 << 20, // only the flush can close an episode
+		FlushInterval: flush,
+	})
+	good := []LinkJSON{{E1: "http://ds1/a1", E2: "http://ds2/b1"}}
+	for end := time.Now().Add(3 * flush); time.Now().Before(end); {
+		if err := client.Feedback(good, true); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.metrics.episodes.Value(); n != 0 {
+			t.Fatalf("%d episodes closed while feedback kept arriving", n)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for wait := time.Now().Add(10 * flush); s.metrics.episodes.Value() == 0; {
+		if time.Now().After(wait) {
+			t.Fatal("idle writer never closed the partial episode")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	time.Sleep(3 * flush)
+	if n := s.metrics.episodes.Value(); n != 1 {
+		t.Fatalf("one idle gap closed %d episodes, want 1", n)
 	}
 }
 
